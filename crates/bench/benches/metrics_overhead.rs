@@ -3,7 +3,8 @@
 //! which monomorphizes every `if Rec::ENABLED` to dead code — the
 //! baseline, identical machine code to the pre-telemetry engines), and
 //! with a live `MetricsRecorder`.  The off/on gap is the price of the
-//! counters; `BENCH_metrics_overhead.json` pins both sides.
+//! counters.  Run with `BENCH_JSON=<file>` to record both sides; no
+//! recorded file is committed.
 //!
 //! Groups:
 //!

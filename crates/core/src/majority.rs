@@ -109,19 +109,32 @@ impl DynamicsCore for ThreeMajority {
         let a = source.draw(rng);
         let b = source.draw(rng);
         let c = source.draw(rng);
-        // Majority if any two agree; otherwise the tie rule.
-        if a == b || a == c {
-            a
-        } else if b == c {
-            b
-        } else {
-            match self.tie_rule {
-                TieRule::FirstSample => a,
-                TieRule::UniformRandom => match rng.gen_range(0..3u8) {
-                    0 => a,
-                    1 => b,
-                    _ => c,
-                },
+        match self.tie_rule {
+            // "a if a == b or a == c, else b if b == c, else a" is exactly
+            // "b if b == c, else a": when b == c, either all three agree
+            // or b is the majority; otherwise a is either the majority or
+            // the first sample of a three-way tie.  One select, no
+            // data-dependent branch.
+            TieRule::FirstSample => {
+                if b == c {
+                    b
+                } else {
+                    a
+                }
+            }
+            // Majority if any two agree; otherwise a uniform pick.
+            TieRule::UniformRandom => {
+                if a == b || a == c {
+                    a
+                } else if b == c {
+                    b
+                } else {
+                    match rng.gen_range(0..3u8) {
+                        0 => a,
+                        1 => b,
+                        _ => c,
+                    }
+                }
             }
         }
     }
@@ -295,6 +308,70 @@ mod tests {
         for (j, (&f, &e)) in freq.iter().zip(&expect).enumerate() {
             let sigma = (e * (1.0 - e) / 200_000.0).sqrt();
             assert!((f - e).abs() < 5.0 * sigma, "color {j}: {f} vs {e}");
+        }
+    }
+
+    /// Replays a scripted sample list and counts how many were drawn;
+    /// reading past the script's end panics.
+    struct ScriptedSource<'a> {
+        samples: &'a [u32],
+        drawn: usize,
+    }
+
+    impl SampleSource for ScriptedSource<'_> {
+        fn draw<R: RngCore + ?Sized>(&mut self, _rng: &mut R) -> u32 {
+            let v = self.samples[self.drawn];
+            self.drawn += 1;
+            v
+        }
+    }
+
+    #[test]
+    fn tie_rules_pinned_exhaustively_on_four_states() {
+        // First-sample: "a if a == b or a == c, else b if b == c, else a",
+        // exactly three in-order draws, no other randomness.  Uniform:
+        // the same majority, plus one `gen_range` on three-way ties only.
+        let first = ThreeMajority::new();
+        let uniform = ThreeMajority::with_uniform_ties();
+        let mut scratch = NodeScratch::with_states(4);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(13);
+        for a in 0..4u32 {
+            for b in 0..4u32 {
+                for c in 0..4u32 {
+                    let what = format!("samples ({a}, {b}, {c})");
+                    let majority = if a == b || a == c {
+                        Some(a)
+                    } else if b == c {
+                        Some(b)
+                    } else {
+                        None
+                    };
+                    for d in [&first, &uniform] {
+                        let samples = [a, b, c];
+                        let mut src = ScriptedSource {
+                            samples: &samples,
+                            drawn: 0,
+                        };
+                        let before = rng.clone();
+                        let got = d.node_update_core(0, &mut src, &mut scratch, &mut rng);
+                        assert_eq!(src.drawn, 3, "{what}");
+                        match (majority, d.tie_rule) {
+                            (Some(m), _) => {
+                                assert_eq!(got, m, "{what}");
+                                assert_eq!(rng, before, "{what}");
+                            }
+                            (None, TieRule::FirstSample) => {
+                                assert_eq!(got, a, "{what}");
+                                assert_eq!(rng, before, "{what}");
+                            }
+                            (None, TieRule::UniformRandom) => {
+                                assert!(samples.contains(&got), "{what}");
+                                assert_ne!(rng, before, "{what}: tie must draw a gen_range");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

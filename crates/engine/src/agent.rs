@@ -37,11 +37,14 @@
 //! # Batched neighbor draws
 //!
 //! Rules that declare [`Dynamics::fixed_draws`]`= Some(s)` (exactly `s`
-//! sampler draws, no other randomness) run a two-pass chunk loop: first a
-//! tight gather of `s` neighbor states per node for a batch of nodes in
-//! node order, then the branchy rule evaluation over the prefilled
-//! buffer.  The PRNG sequence is identical to the one-pass path — the
-//! draws happen in the same order — so golden fingerprints pin both.
+//! sampler draws, no other randomness) run a three-pass loop over each
+//! batch of nodes: first draw the `s` neighbor indices of every node in
+//! node order into an index buffer, then gather the indexed states in a
+//! pure load loop (no PRNG work between the cache-missing reads, so many
+//! are in flight at once), then evaluate the rule over the gathered
+//! buffer.  The draw order is unchanged — the same draws, in the same
+//! order, from the same chunk stream as the one-pass path — so the PRNG
+//! sequence is identical and golden fingerprints pin both paths.
 //!
 //! # Devirtualization
 //!
@@ -148,8 +151,8 @@ pub struct AgentEngine<'t> {
     width: StateWidth,
 }
 
-/// Nodes per prefill batch on the batched-draw path; bounds the gather
-/// buffer at `BATCH_NODES · s` words so it stays cache-resident.
+/// Nodes per batch on the batched-draw path; bounds the index and gather
+/// buffers at `BATCH_NODES · s` entries each so they stay cache-resident.
 const BATCH_NODES: usize = 1024;
 
 /// A state word narrow enough for the dynamics' state count, with the
@@ -247,8 +250,8 @@ impl<T: TopologyCore, S: ReadStates + ?Sized> SampleSource for NeighborSource<'_
     }
 }
 
-/// Replays prefilled neighbor states on the batched-draw path.  Consumes
-/// no randomness: the prefill pass already drew every sample, in node
+/// Replays gathered neighbor states on the batched-draw path.  Consumes
+/// no randomness: the draw pass already drew every sample, in node
 /// order, from the chunk's stream.
 struct SliceSource<'a> {
     buf: &'a [u32],
@@ -279,18 +282,23 @@ impl<S: SampleSource> SampleSource for CountingSource<S> {
     }
 }
 
-/// Per-worker reusable buffers: the dynamics scratch plus the
-/// batched-draw gather buffer.
+/// Per-worker reusable buffers: the dynamics scratch plus the two
+/// batched-draw buffers — `idx` holds a batch's neighbor indices (draw
+/// pass), `batch` the states read at them (gather pass), both in draw
+/// order for the evaluate pass to replay.
 struct WorkerScratch {
     scratch: NodeScratch,
+    idx: Vec<usize>,
     batch: Vec<u32>,
 }
 
 impl WorkerScratch {
     fn new(state_count: usize, fixed: Option<usize>) -> Self {
+        let cap = fixed.map_or(0, |s| BATCH_NODES * s);
         Self {
             scratch: NodeScratch::with_states(state_count),
-            batch: Vec::with_capacity(fixed.map_or(0, |s| BATCH_NODES * s)),
+            idx: Vec::with_capacity(cap),
+            batch: Vec::with_capacity(cap),
         }
     }
 }
@@ -303,7 +311,7 @@ impl WorkerScratch {
 /// untouched).
 ///
 /// Chunk `c` always draws from stream `stream_base + c` of the trial
-/// seed, and, when `fixed = Some(s)`, the prefill pass draws the same
+/// seed, and, when `fixed = Some(s)`, the draw pass draws the same
 /// samples in the same node order as the one-pass path — both halves of
 /// the determinism contract (see the module docs).
 #[allow(clippy::too_many_arguments)]
@@ -338,17 +346,21 @@ where
         let end = ((chunk_index + 1) * chunk).min(n);
         let mut rng = stream_rng(seed, stream_base + chunk_index as u64);
         if let Some(s) = fixed {
-            // Two-pass batched path: gather, then evaluate.
+            // Three-pass batched path: draw every neighbor index of the
+            // batch in node order, gather their states, then evaluate.
+            // Keeping the PRNG chain out of the gather loop lets its
+            // cache-missing reads overlap; the draw order is unchanged.
             let mut node = start;
             while node < end {
                 let batch_end = (node + BATCH_NODES).min(end);
-                ws.batch.clear();
+                ws.idx.clear();
                 for node_i in node..batch_end {
                     for _ in 0..s {
-                        let idx = topology.sample_neighbor_core(node_i, &mut rng);
-                        ws.batch.push(src.read(idx));
+                        ws.idx.push(topology.sample_neighbor_core(node_i, &mut rng));
                     }
                 }
+                ws.batch.clear();
+                ws.batch.extend(ws.idx.iter().map(|&i| src.read(i)));
                 let mut pos = 0usize;
                 for node_i in node..batch_end {
                     let own = src.read(node_i);
@@ -1277,6 +1289,76 @@ mod tests {
             .run_recorded(&d, &cfg, Placement::Shuffled, &opts, 43, &mut r4);
         for c in [Counter::Rounds, Counter::SamplesDrawn] {
             assert_eq!(r1.counter(c), r4.counter(c), "{}", c.name());
+        }
+    }
+
+    /// Delegates every rule to an inner dynamics but withholds its
+    /// `fixed_draws` promise (and its downcast), so the engine runs the
+    /// inner rule on the one-pass path.
+    struct OnePass<'a>(&'a dyn Dynamics);
+
+    impl Dynamics for OnePass<'_> {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn state_count(&self, k_colors: usize) -> usize {
+            self.0.state_count(k_colors)
+        }
+
+        fn color_count(&self, n_states: usize) -> usize {
+            self.0.color_count(n_states)
+        }
+
+        fn lift(&self, colors: &Configuration) -> Configuration {
+            self.0.lift(colors)
+        }
+
+        fn node_update(
+            &self,
+            own: u32,
+            sampler: &mut dyn plurality_core::StateSampler,
+            scratch: &mut NodeScratch,
+            rng: &mut dyn RngCore,
+        ) -> u32 {
+            self.0.node_update(own, sampler, scratch, rng)
+        }
+
+        fn consensus(&self, states: &[u64]) -> Option<usize> {
+            self.0.consensus(states)
+        }
+    }
+
+    #[test]
+    fn batched_path_matches_one_pass_path() {
+        // Two full chunks plus a partial one (1503 nodes), whose second
+        // batch is partial too (479 nodes).
+        let n = 2 * AgentEngine::DEFAULT_CHUNK + 1_500 + 3;
+        let clique = Clique::new(n);
+        let cfg = builders::biased(n as u64, 3, 1_200);
+        let opts = RunOptions {
+            trace: TraceLevel::Full,
+            ..RunOptions::with_max_rounds(2_000)
+        };
+        let rules: [&dyn Dynamics; 2] = [&ThreeMajority::new(), &UndecidedState::new(3)];
+        for d in rules {
+            let one_pass = OnePass(d);
+            assert!(d.fixed_draws().is_some(), "{}", d.name());
+            assert_eq!(one_pass.fixed_draws(), None);
+            for threads in [1, 2] {
+                let engine = AgentEngine::new(&clique).with_threads(threads);
+                let batched = engine.run(d, &cfg, Placement::Shuffled, &opts, 47);
+                let unbatched = engine.run(&one_pass, &cfg, Placement::Shuffled, &opts, 47);
+                let what = format!("{} at {threads} threads", d.name());
+                assert_eq!(batched.reason, StopReason::Stopped, "{what}");
+                assert_eq!(batched.rounds, unbatched.rounds, "{what}");
+                assert_eq!(batched.winner, unbatched.winner, "{what}");
+                assert_eq!(
+                    batched.trace.unwrap().rounds,
+                    unbatched.trace.unwrap().rounds,
+                    "{what}: batched and one-pass trajectories must match"
+                );
+            }
         }
     }
 

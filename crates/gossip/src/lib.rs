@@ -80,8 +80,8 @@
 //! Recording consumes no randomness, and the disabled
 //! (`NoopRecorder`) instantiation — what `run`/`run_detailed` use —
 //! compiles to the uninstrumented engine, so golden traces stay
-//! bit-identical and the hot path stays at parity
-//! (`BENCH_metrics_overhead.json`).  The counters obey exact
+//! bit-identical and the hot path stays at parity (the
+//! `metrics_overhead` bench measures the off/on gap).  The counters obey exact
 //! conservation laws (documented on `plurality_telemetry::Counter`)
 //! that `tests/metrics_reconcile.rs` pins across mode × scheduler ×
 //! failure-scenario grids.

@@ -10,8 +10,9 @@
 //!   [`NoopRecorder`] is a zero-sized type whose methods are empty
 //!   inline bodies: engine cores monomorphized over it carry **no**
 //!   instrumentation instructions, so golden traces stay bit-identical
-//!   and hot-path benches stay at parity (`BENCH_metrics_overhead.json`
-//!   records the measured gap).  [`MetricsRecorder`] keeps dense arrays
+//!   and hot-path benches stay at parity (the `metrics_overhead` bench
+//!   and perfbench's `telemetry.overhead_frac.{agent,gossip}` measure
+//!   the gap).  [`MetricsRecorder`] keeps dense arrays
 //!   indexed by the metric enums; an enabled counter bump is one add.
 //! * [`Counter`] / [`Gauge`] / [`Hist`] / [`Phase`] — the closed metric
 //!   catalogue, with stable snake-case labels that double as the JSONL
