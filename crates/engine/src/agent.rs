@@ -28,8 +28,14 @@
 //!
 //! # Narrow state words
 //!
-//! The per-node state arrays store `u8`/`u16`/`u32` words, picked by the
-//! dynamics' state count (`k ≤ 256` → `u8`, `k ≤ 65 536` → `u16`).  All
+//! The per-node state arrays store 4-bit/`u8`/`u16`/`u32` words, picked
+//! by the dynamics' state count (`k ≤ 16` → 4-bit, `k ≤ 256` → `u8`,
+//! `k ≤ 65 536` → `u16`).  4-bit states pack two nodes per byte — node
+//! `i` in the low nibble of byte `i / 2` when `i` is even, the high
+//! nibble when odd — and are written by a load-modify-store of the byte.
+//! Two workers never share a byte because the packed layout is used only
+//! with an even chunk size, which starts every worker's span on a byte
+//! boundary; with an odd chunk size `Auto` falls back to `u8`.  All
 //! randomness is consumed sampling *node indices*, never states, so the
 //! trajectory is independent of the word width; a pin test forces each
 //! width over the same seed and compares traces.
@@ -39,12 +45,17 @@
 //! Rules that declare [`Dynamics::fixed_draws`]`= Some(s)` (exactly `s`
 //! sampler draws, no other randomness) run a three-pass loop over each
 //! batch of nodes: first draw the `s` neighbor indices of every node in
-//! node order into an index buffer, then gather the indexed states in a
-//! pure load loop (no PRNG work between the cache-missing reads, so many
-//! are in flight at once), then evaluate the rule over the gathered
-//! buffer.  The draw order is unchanged — the same draws, in the same
-//! order, from the same chunk stream as the one-pass path — so the PRNG
-//! sequence is identical and golden fingerprints pin both paths.
+//! node order into an index buffer, prefetching each indexed state's
+//! cache line as it is drawn, then gather the indexed states in a pure
+//! load loop, then evaluate the rule over the gathered buffer.  The
+//! prefetches' misses complete while the next draws are computed, so the
+//! gather pass mostly reads lines already in cache.  A prefetch is a
+//! hint that consumes no randomness and changes no state, and the draw
+//! order is unchanged — the same draws, in the same order, from the same
+//! chunk stream as the one-pass path — so the PRNG sequence is identical
+//! and golden fingerprints pin both paths.  The prefetch helper is the
+//! engine's one `unsafe` block (`_mm_prefetch` on x86_64, a no-op
+//! elsewhere).
 //!
 //! # Devirtualization
 //!
@@ -109,9 +120,13 @@ pub enum Placement {
 /// state words — so forcing a wider word changes memory traffic only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StateWidth {
-    /// Narrowest word that fits the state count (`u8`, `u16`, or `u32`).
+    /// Narrowest word that fits the state count: 4-bit (two nodes per
+    /// byte, only with an even chunk size), `u8`, `u16`, or `u32`.
     #[default]
     Auto,
+    /// Force 4-bit states packed two per byte (panics at run time if the
+    /// state count exceeds 16 or the chunk size is odd).
+    U4,
     /// Force `u8` words (panics at run time if the state count exceeds 256).
     U8,
     /// Force `u16` words (panics at run time if the state count exceeds 65 536).
@@ -155,51 +170,65 @@ pub struct AgentEngine<'t> {
 /// buffers at `BATCH_NODES · s` entries each so they stay cache-resident.
 const BATCH_NODES: usize = 1024;
 
-/// A state word narrow enough for the dynamics' state count, with the
-/// atomic twin the shared (parallel) buffers use.  All loads/stores are
-/// `Relaxed`: each node is written by exactly one worker per round and
-/// the per-round [`Barrier`] orders rounds against each other.
-trait StateWord: Copy + Send + Sync + 'static {
+/// A state-array layout narrow enough for the dynamics' state count:
+/// the storage cell of the sequential buffer, its atomic twin for the
+/// shared (parallel) buffers, and how node states pack into cells.  All
+/// atomic loads/stores are `Relaxed`: each cell is written by exactly one
+/// worker per round and the per-round [`Barrier`] orders rounds against
+/// each other.
+trait StateWord: 'static {
+    /// Storage cell of the sequential buffer.
+    type Cell: Copy + Default + Send + Sync;
     /// The matching atomic cell type.
     type Atomic: Send + Sync;
     /// Largest representable state count.
     const CAPACITY: usize;
-    fn from_u32(v: u32) -> Self;
-    fn to_u32(self) -> u32;
-    fn atomic_from(v: u32) -> Self::Atomic;
-    fn atomic_load(a: &Self::Atomic) -> u32;
-    fn atomic_store(a: &Self::Atomic, v: u32);
+    /// Nodes stored per cell: 1, or 2 for packed 4-bit states.
+    const PER_CELL: usize;
+    /// Pack node states (all below `CAPACITY`) into cells.
+    fn pack(states: &[u32]) -> Vec<Self::Cell>;
+    fn atomic_from(c: Self::Cell) -> Self::Atomic;
+    fn read(cells: &[Self::Cell], i: usize) -> u32;
+    fn write(cells: &mut [Self::Cell], i: usize, v: u32);
+    fn atomic_read(cells: &[Self::Atomic], i: usize) -> u32;
+    fn atomic_write(cells: &[Self::Atomic], i: usize, v: u32);
 }
 
 macro_rules! impl_state_word {
     ($word:ty, $atomic:ty) => {
         impl StateWord for $word {
+            type Cell = $word;
             type Atomic = $atomic;
             const CAPACITY: usize = (<$word>::MAX as usize) + 1;
+            const PER_CELL: usize = 1;
 
-            #[inline(always)]
-            fn from_u32(v: u32) -> Self {
-                v as $word
+            fn pack(states: &[u32]) -> Vec<$word> {
+                states.iter().map(|&s| s as $word).collect()
             }
 
             #[inline(always)]
-            fn to_u32(self) -> u32 {
-                self as u32
+            fn atomic_from(c: $word) -> $atomic {
+                <$atomic>::new(c)
             }
 
             #[inline(always)]
-            fn atomic_from(v: u32) -> Self::Atomic {
-                <$atomic>::new(v as $word)
+            fn read(cells: &[$word], i: usize) -> u32 {
+                cells[i] as u32
             }
 
             #[inline(always)]
-            fn atomic_load(a: &Self::Atomic) -> u32 {
-                a.load(Ordering::Relaxed) as u32
+            fn write(cells: &mut [$word], i: usize, v: u32) {
+                cells[i] = v as $word;
             }
 
             #[inline(always)]
-            fn atomic_store(a: &Self::Atomic, v: u32) {
-                a.store(v as $word, Ordering::Relaxed);
+            fn atomic_read(cells: &[$atomic], i: usize) -> u32 {
+                cells[i].load(Ordering::Relaxed) as u32
+            }
+
+            #[inline(always)]
+            fn atomic_write(cells: &[$atomic], i: usize, v: u32) {
+                cells[i].store(v as $word, Ordering::Relaxed);
             }
         }
     };
@@ -209,19 +238,111 @@ impl_state_word!(u8, AtomicU8);
 impl_state_word!(u16, AtomicU16);
 impl_state_word!(u32, AtomicU32);
 
+/// Two 4-bit states per byte: node `i` lives in byte `i / 2`, in the low
+/// nibble when `i` is even and the high nibble when odd.  A write is a
+/// load-modify-store of the byte, which is race-free on the shared
+/// buffers only because both nodes of a byte belong to the same worker:
+/// the engine uses this layout only with an even chunk size, so every
+/// worker's span starts on a byte boundary.
+struct U4;
+
+impl U4 {
+    #[inline(always)]
+    fn shift(i: usize) -> u32 {
+        ((i & 1) as u32) << 2
+    }
+
+    #[inline(always)]
+    fn merge(byte: u8, i: usize, v: u32) -> u8 {
+        let shift = Self::shift(i);
+        (byte & !(0xF << shift)) | ((v as u8) << shift)
+    }
+}
+
+impl StateWord for U4 {
+    type Cell = u8;
+    type Atomic = AtomicU8;
+    const CAPACITY: usize = 16;
+    const PER_CELL: usize = 2;
+
+    fn pack(states: &[u32]) -> Vec<u8> {
+        states
+            .chunks(2)
+            .map(|pair| pair.iter().rev().fold(0u8, |b, &s| (b << 4) | s as u8))
+            .collect()
+    }
+
+    #[inline(always)]
+    fn atomic_from(c: u8) -> AtomicU8 {
+        AtomicU8::new(c)
+    }
+
+    #[inline(always)]
+    fn read(cells: &[u8], i: usize) -> u32 {
+        u32::from(cells[i >> 1] >> Self::shift(i)) & 0xF
+    }
+
+    #[inline(always)]
+    fn write(cells: &mut [u8], i: usize, v: u32) {
+        let cell = &mut cells[i >> 1];
+        *cell = Self::merge(*cell, i, v);
+    }
+
+    #[inline(always)]
+    fn atomic_read(cells: &[AtomicU8], i: usize) -> u32 {
+        u32::from(cells[i >> 1].load(Ordering::Relaxed) >> Self::shift(i)) & 0xF
+    }
+
+    #[inline(always)]
+    fn atomic_write(cells: &[AtomicU8], i: usize, v: u32) {
+        let cell = &cells[i >> 1];
+        cell.store(
+            Self::merge(cell.load(Ordering::Relaxed), i, v),
+            Ordering::Relaxed,
+        );
+    }
+}
+
+/// Ask the CPU to start loading the cache line holding `*p` into L1.
+/// A hint only: no architectural effect, and a no-op off x86_64.
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch_line<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint that never faults, whatever the
+        // address, and does not read or write memory as far as the
+        // program can observe; SSE is part of the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Read access to the current round's state array, abstracting over the
 /// plain (sequential) and atomic (shared) buffers so the chunk processor
 /// is written once.
 trait ReadStates: Sync {
     fn read(&self, i: usize) -> u32;
+    /// Start loading node `i`'s state into cache ahead of a [`read`];
+    /// consumes no randomness and changes no state.
+    ///
+    /// [`read`]: ReadStates::read
+    fn prefetch(&self, i: usize);
 }
 
-struct PlainStates<'a, W>(&'a [W]);
+struct PlainStates<'a, W: StateWord>(&'a [W::Cell]);
 
 impl<W: StateWord> ReadStates for PlainStates<'_, W> {
     #[inline(always)]
     fn read(&self, i: usize) -> u32 {
-        self.0[i].to_u32()
+        W::read(self.0, i)
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, i: usize) {
+        prefetch_line(self.0.as_ptr().wrapping_add(i / W::PER_CELL));
     }
 }
 
@@ -230,7 +351,12 @@ struct SharedStates<'a, W: StateWord>(&'a [W::Atomic]);
 impl<W: StateWord> ReadStates for SharedStates<'_, W> {
     #[inline(always)]
     fn read(&self, i: usize) -> u32 {
-        W::atomic_load(&self.0[i])
+        W::atomic_read(self.0, i)
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, i: usize) {
+        prefetch_line(self.0.as_ptr().wrapping_add(i / W::PER_CELL));
     }
 }
 
@@ -348,15 +474,18 @@ where
         if let Some(s) = fixed {
             // Three-pass batched path: draw every neighbor index of the
             // batch in node order, gather their states, then evaluate.
-            // Keeping the PRNG chain out of the gather loop lets its
-            // cache-missing reads overlap; the draw order is unchanged.
+            // Each draw prefetches its state's line, so the misses
+            // complete while later draws are computed and the gather
+            // pass mostly hits cache; the draw order is unchanged.
             let mut node = start;
             while node < end {
                 let batch_end = (node + BATCH_NODES).min(end);
                 ws.idx.clear();
                 for node_i in node..batch_end {
                     for _ in 0..s {
-                        ws.idx.push(topology.sample_neighbor_core(node_i, &mut rng));
+                        let j = topology.sample_neighbor_core(node_i, &mut rng);
+                        src.prefetch(j);
+                        ws.idx.push(j);
                     }
                 }
                 ws.batch.clear();
@@ -638,7 +767,8 @@ impl<'t> AgentEngine<'t> {
     }
 
     /// Third dispatch level: trial setup, then pick the state-word width
-    /// and enter the monomorphized round loop.
+    /// ([`AgentEngine::resolve_width`]) and enter the monomorphized round
+    /// loop.
     #[allow(clippy::too_many_arguments)]
     fn run_core<T: TopologyCore, D: DynamicsCore, Rec: Recorder>(
         &self,
@@ -689,109 +819,74 @@ impl<'t> AgentEngine<'t> {
             return out;
         }
 
-        let check_fit = |cap: usize, width: &str| {
+        let width = self.resolve_width(state_count);
+        macro_rules! run_sized {
+            ($word:ty) => {
+                self.run_sized::<T, D, $word, Rec>(
+                    topology,
+                    dynamics,
+                    layout,
+                    counts,
+                    state_count,
+                    k_colors,
+                    initial_plurality,
+                    opts,
+                    seed,
+                    trace,
+                    full,
+                    rec,
+                )
+            };
+        }
+        match width {
+            StateWidth::U4 => run_sized!(U4),
+            StateWidth::U8 => run_sized!(u8),
+            StateWidth::U16 => run_sized!(u16),
+            StateWidth::U32 => run_sized!(u32),
+            StateWidth::Auto => unreachable!("resolve_width picks a concrete width"),
+        }
+    }
+
+    /// The word width a run over `state_count` states uses: the forced
+    /// width, or under [`StateWidth::Auto`] the narrowest that fits.
+    /// Packed 4-bit states share a byte between nodes `2j` and `2j+1`, so
+    /// they need an even chunk size: it keeps every worker's span
+    /// byte-aligned, and no byte is ever written by two workers.
+    ///
+    /// # Panics
+    /// Panics if a forced width cannot hold `state_count` states, or if
+    /// [`StateWidth::U4`] is forced with an odd chunk size.
+    fn resolve_width(&self, state_count: usize) -> StateWidth {
+        let fits = |cap: usize, width: StateWidth| {
             assert!(
                 state_count <= cap,
-                "state count {state_count} does not fit forced StateWidth::{width}"
+                "state count {state_count} does not fit forced StateWidth::{width:?}"
             );
         };
+        let packable = self.chunk_size.is_multiple_of(2);
         match self.width {
-            StateWidth::Auto => {
-                if state_count <= u8::CAPACITY {
-                    self.run_sized::<T, D, u8, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                } else if state_count <= u16::CAPACITY {
-                    self.run_sized::<T, D, u16, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                } else {
-                    self.run_sized::<T, D, u32, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                }
+            StateWidth::Auto if state_count <= U4::CAPACITY && packable => StateWidth::U4,
+            StateWidth::Auto if state_count <= u8::CAPACITY => StateWidth::U8,
+            StateWidth::Auto if state_count <= u16::CAPACITY => StateWidth::U16,
+            StateWidth::Auto => StateWidth::U32,
+            StateWidth::U4 => {
+                fits(U4::CAPACITY, StateWidth::U4);
+                assert!(
+                    packable,
+                    "StateWidth::U4 needs an even chunk size, got {}",
+                    self.chunk_size
+                );
+                StateWidth::U4
             }
             StateWidth::U8 => {
-                check_fit(u8::CAPACITY, "U8");
-                self.run_sized::<T, D, u8, Rec>(
-                    topology,
-                    dynamics,
-                    layout,
-                    counts,
-                    state_count,
-                    k_colors,
-                    initial_plurality,
-                    opts,
-                    seed,
-                    trace,
-                    full,
-                    rec,
-                )
+                fits(u8::CAPACITY, StateWidth::U8);
+                StateWidth::U8
             }
             StateWidth::U16 => {
-                check_fit(u16::CAPACITY, "U16");
-                self.run_sized::<T, D, u16, Rec>(
-                    topology,
-                    dynamics,
-                    layout,
-                    counts,
-                    state_count,
-                    k_colors,
-                    initial_plurality,
-                    opts,
-                    seed,
-                    trace,
-                    full,
-                    rec,
-                )
+                fits(u16::CAPACITY, StateWidth::U16);
+                StateWidth::U16
             }
-            StateWidth::U32 => self.run_sized::<T, D, u32, Rec>(
-                topology,
-                dynamics,
-                layout,
-                counts,
-                state_count,
-                k_colors,
-                initial_plurality,
-                opts,
-                seed,
-                trace,
-                full,
-                rec,
-            ),
+            StateWidth::U32 => StateWidth::U32,
         }
     }
 
@@ -821,8 +916,9 @@ impl<'t> AgentEngine<'t> {
         rec.phase_start(Phase::Run);
 
         if self.threads <= 1 || num_chunks <= 1 {
-            let mut cur: Vec<W> = layout.iter().map(|&s| W::from_u32(s)).collect();
-            let mut nxt: Vec<W> = vec![W::from_u32(0); n];
+            let mut cur = W::pack(&layout);
+            drop(layout);
+            let mut nxt = vec![W::Cell::default(); cur.len()];
             let mut ws = WorkerScratch::new(state_count, fixed);
             let mut rounds = 0u64;
             loop {
@@ -846,7 +942,7 @@ impl<'t> AgentEngine<'t> {
                     fixed,
                     &mut ws,
                     &mut counts,
-                    &mut |i, v| nxt[i] = W::from_u32(v),
+                    &mut |i, v| W::write(&mut nxt, i, v),
                 );
                 std::mem::swap(&mut cur, &mut nxt);
                 rounds += 1;
@@ -874,10 +970,12 @@ impl<'t> AgentEngine<'t> {
         // mapping (and hence the trajectory) is thread-count independent.
         let workers = self.threads.min(num_chunks);
         let chunks_per = num_chunks.div_ceil(workers);
-        let bufs: [Vec<W::Atomic>; 2] = [
-            layout.iter().map(|&s| W::atomic_from(s)).collect(),
-            (0..n).map(|_| W::atomic_from(0)).collect(),
-        ];
+        let cur: Vec<W::Atomic> = W::pack(&layout).into_iter().map(W::atomic_from).collect();
+        drop(layout);
+        let nxt = (0..cur.len())
+            .map(|_| W::atomic_from(W::Cell::default()))
+            .collect();
+        let bufs: [Vec<W::Atomic>; 2] = [cur, nxt];
         let barrier = Barrier::new(workers);
         let done = AtomicBool::new(false);
         // One slot per helper worker: (state counts, samples drawn).
@@ -919,7 +1017,7 @@ impl<'t> AgentEngine<'t> {
                             fixed,
                             &mut ws,
                             &mut local,
-                            &mut |i, v| W::atomic_store(&nxt[i], v),
+                            &mut |i, v| W::atomic_write(nxt, i, v),
                         );
                         {
                             let mut s = slot.lock().expect("coordinator panicked");
@@ -969,7 +1067,7 @@ impl<'t> AgentEngine<'t> {
                     fixed,
                     &mut ws,
                     &mut counts,
-                    &mut |i, v| W::atomic_store(&nxt[i], v),
+                    &mut |i, v| W::atomic_write(nxt, i, v),
                 );
                 barrier.wait();
                 for slot in &slots {
@@ -1066,31 +1164,148 @@ mod tests {
 
     #[test]
     fn deterministic_across_state_widths() {
-        // The width pin: u8, u16, and u32 state arrays must walk the
-        // same trajectory (randomness samples node indices, not words).
-        let clique = Clique::new(2_500);
-        let cfg = builders::biased(2_500, 3, 500);
-        let d = ThreeMajority::new();
+        // The width pin: packed 4-bit, u8, u16, and u32 state arrays must
+        // walk the same trajectory (randomness samples node indices, not
+        // words).  Odd n leaves the last packed byte half used; chunk 512
+        // at 2 and 3 threads puts byte-sharing node pairs on every
+        // worker's span edge.  3-majority takes the batched path,
+        // 3-majority-uar the one-pass path, and undecided (k + 1 states)
+        // also reads each node's own state.
+        let n = 2 * 512 * 3 + 1;
+        let clique = Clique::new(n);
+        let cfg = builders::biased(n as u64, 3, 500);
         let opts = RunOptions::with_max_rounds(2_000).traced();
-        let narrow = AgentEngine::new(&clique)
-            .with_state_width(StateWidth::U8)
-            .run(&d, &cfg, Placement::Shuffled, &opts, 21);
-        for width in [StateWidth::U16, StateWidth::U32, StateWidth::Auto] {
-            let wide = AgentEngine::new(&clique).with_state_width(width).run(
-                &d,
-                &cfg,
-                Placement::Shuffled,
-                &opts,
-                21,
-            );
-            assert_eq!(narrow.rounds, wide.rounds, "{width:?}");
-            assert_eq!(narrow.winner, wide.winner, "{width:?}");
+        let rules: [&dyn Dynamics; 3] = [
+            &ThreeMajority::new(),
+            &ThreeMajority::with_uniform_ties(),
+            &UndecidedState::new(3),
+        ];
+        for d in rules {
+            let run = |threads: usize, width: StateWidth| {
+                AgentEngine::new(&clique)
+                    .with_threads(threads)
+                    .with_chunk_size(512)
+                    .with_state_width(width)
+                    .run(d, &cfg, Placement::Shuffled, &opts, 21)
+            };
+            let wide = run(1, StateWidth::U32);
+            assert_eq!(wide.reason, StopReason::Stopped, "{}", d.name());
+            for threads in [1, 2, 3] {
+                for width in [
+                    StateWidth::U4,
+                    StateWidth::U8,
+                    StateWidth::U16,
+                    StateWidth::U32,
+                    StateWidth::Auto,
+                ] {
+                    let what = format!("{} at {threads} threads, {width:?}", d.name());
+                    let narrow = run(threads, width);
+                    assert_eq!(narrow.rounds, wide.rounds, "{what}");
+                    assert_eq!(narrow.winner, wide.winner, "{what}");
+                    assert_eq!(
+                        narrow.trace.as_ref().unwrap().rounds,
+                        wide.trace.as_ref().unwrap().rounds,
+                        "{what}: trajectory must be width-independent"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_nibbles_round_trip() {
+        let states: Vec<u32> = (0..7).map(|i| (i * 5 + 3) % 16).collect();
+        let mut cells = U4::pack(&states);
+        assert_eq!(cells.len(), 4, "odd n leaves the last byte half used");
+        assert_eq!(cells[0], (8 << 4) | 3, "node 0 low nibble, node 1 high");
+        let shared: Vec<AtomicU8> = cells.iter().map(|&c| U4::atomic_from(c)).collect();
+        for (i, &s) in states.iter().enumerate() {
+            assert_eq!(U4::read(&cells, i), s);
+            assert_eq!(U4::atomic_read(&shared, i), s);
+        }
+        // A write touches only its own nibble.
+        for (i, v) in [(3, 15), (4, 0), (6, 9)] {
+            U4::write(&mut cells, i, v);
+            U4::atomic_write(&shared, i, v);
+        }
+        let mut expect = states;
+        expect[3] = 15;
+        expect[4] = 0;
+        expect[6] = 9;
+        for (i, &s) in expect.iter().enumerate() {
+            assert_eq!(U4::read(&cells, i), s, "node {i}");
+            assert_eq!(U4::atomic_read(&shared, i), s, "node {i}");
+        }
+    }
+
+    #[test]
+    fn auto_width_packs_only_with_even_chunks() {
+        let tiny = Clique::new(2);
+        let engine = |chunk: usize| AgentEngine::new(&tiny).with_chunk_size(chunk);
+        assert_eq!(engine(512).resolve_width(16), StateWidth::U4);
+        assert_eq!(engine(512).resolve_width(17), StateWidth::U8);
+        assert_eq!(engine(511).resolve_width(2), StateWidth::U8);
+        assert_eq!(engine(511).resolve_width(257), StateWidth::U16);
+        assert_eq!(engine(511).resolve_width(65_537), StateWidth::U32);
+
+        // An odd chunk size falls back to u8 words and walks the same
+        // trajectory as forcing them.
+        let n = 3 * 511 + 2;
+        let clique = Clique::new(n);
+        let cfg = builders::biased(n as u64, 3, 400);
+        let opts = RunOptions::with_max_rounds(2_000).traced();
+        let d = ThreeMajority::new();
+        for threads in [1, 2] {
+            let run = |width: StateWidth| {
+                AgentEngine::new(&clique)
+                    .with_threads(threads)
+                    .with_chunk_size(511)
+                    .with_state_width(width)
+                    .run(&d, &cfg, Placement::Shuffled, &opts, 29)
+            };
+            let auto = run(StateWidth::Auto);
+            let forced = run(StateWidth::U8);
+            assert_eq!(auto.reason, StopReason::Stopped);
+            assert_eq!(auto.rounds, forced.rounds, "{threads} threads");
             assert_eq!(
-                narrow.trace.as_ref().unwrap().rounds,
-                wide.trace.as_ref().unwrap().rounds,
-                "{width:?}: trajectory must be width-independent"
+                auto.trace.unwrap().rounds,
+                forced.trace.unwrap().rounds,
+                "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit forced StateWidth::U4")]
+    fn forced_packed_width_rejects_seventeen_states() {
+        let clique = Clique::new(40);
+        let mut counts = vec![2u64; 17];
+        counts[0] = 8;
+        let _ = AgentEngine::new(&clique)
+            .with_state_width(StateWidth::U4)
+            .run(
+                &ThreeMajority::new(),
+                &Configuration::new(counts),
+                Placement::Shuffled,
+                &RunOptions::with_max_rounds(1),
+                1,
+            );
+    }
+
+    #[test]
+    #[should_panic(expected = "StateWidth::U4 needs an even chunk size, got 511")]
+    fn forced_packed_width_rejects_odd_chunks() {
+        let clique = Clique::new(2_000);
+        let _ = AgentEngine::new(&clique)
+            .with_chunk_size(511)
+            .with_state_width(StateWidth::U4)
+            .run(
+                &ThreeMajority::new(),
+                &builders::biased(2_000, 3, 500),
+                Placement::Shuffled,
+                &RunOptions::with_max_rounds(1),
+                1,
+            );
     }
 
     #[test]

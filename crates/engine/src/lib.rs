@@ -19,6 +19,12 @@
 //! the full stream registry and the parallel draw-order contract live in
 //! `docs/DETERMINISM.md` at the repository root.
 //!
+//! This crate denies `unsafe` code with a single exception: the agent
+//! engine's private cache-prefetch helper, which wraps the x86_64
+//! `_mm_prefetch` hint (a no-op on other targets) and documents its
+//! safety argument.  Every other crate in the workspace forbids
+//! `unsafe` outright.
+//!
 //! ```
 //! use plurality_core::{builders, ThreeMajority};
 //! use plurality_engine::{MeanFieldEngine, RunOptions};
@@ -32,7 +38,8 @@
 //! assert!(result.success, "strong bias should carry the plurality");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod agent;

@@ -108,8 +108,9 @@ proptest! {
         );
     }
 
-    /// Narrow state words are storage only: forcing `u8` produces the
-    /// same trajectory as the widest word, sequential or sharded.
+    /// Narrow state words are storage only: forcing packed 4-bit or `u8`
+    /// words produces the same trajectory as the widest word, sequential
+    /// or sharded (odd n leaves the last packed byte half used).
     #[test]
     fn agent_state_width_invariant(
         n in 64usize..300,
@@ -130,14 +131,17 @@ proptest! {
                 .with_state_width(w)
                 .run(d.as_ref(), &cfg, Placement::Shuffled, &opts, seed)
         };
-        let narrow = run_width(StateWidth::U8);
         let wide = run_width(StateWidth::U32);
-        prop_assert_eq!(narrow.rounds, wide.rounds);
-        prop_assert_eq!(narrow.winner, wide.winner);
-        prop_assert_eq!(
-            narrow.trace.expect("traced").rounds,
-            wide.trace.expect("traced").rounds
-        );
+        for width in [StateWidth::U4, StateWidth::U8] {
+            let narrow = run_width(width);
+            prop_assert_eq!(narrow.rounds, wide.rounds, "{:?}", width);
+            prop_assert_eq!(narrow.winner, wide.winner, "{:?}", width);
+            prop_assert_eq!(
+                &narrow.trace.expect("traced").rounds,
+                &wide.trace.as_ref().expect("traced").rounds,
+                "{:?}", width
+            );
+        }
     }
 
     /// Monte-Carlo output is a pure function of (seed, trials), not of
