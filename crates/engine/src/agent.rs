@@ -37,8 +37,9 @@
 //! with an even chunk size, which starts every worker's span on a byte
 //! boundary; with an odd chunk size `Auto` falls back to `u8`.  All
 //! randomness is consumed sampling *node indices*, never states, so the
-//! trajectory is independent of the word width; a pin test forces each
-//! width over the same seed and compares traces.
+//! trajectory is independent of the word width; a pin test runs the
+//! packed layout (reached only through [`StateWidth::Auto`]) and each
+//! forced width over the same seed and compares traces.
 //!
 //! # Batched neighbor draws
 //!
@@ -124,9 +125,6 @@ pub enum StateWidth {
     /// byte, only with an even chunk size), `u8`, `u16`, or `u32`.
     #[default]
     Auto,
-    /// Force 4-bit states packed two per byte (panics at run time if the
-    /// state count exceeds 16 or the chunk size is odd).
-    U4,
     /// Force `u8` words (panics at run time if the state count exceeds 256).
     U8,
     /// Force `u16` words (panics at run time if the state count exceeds 65 536).
@@ -156,6 +154,17 @@ pub fn layout_initial_states(lifted: &Configuration, placement: Placement, seed:
         }
     }
     states
+}
+
+/// The state-array layout a run actually uses, resolved from
+/// [`StateWidth`] by [`AgentEngine::resolve_width`].  Packed 4-bit states
+/// are reachable only through [`StateWidth::Auto`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WordLayout {
+    U4,
+    U8,
+    U16,
+    U32,
 }
 
 /// Per-node simulator over a [`Topology`].
@@ -819,7 +828,6 @@ impl<'t> AgentEngine<'t> {
             return out;
         }
 
-        let width = self.resolve_width(state_count);
         macro_rules! run_sized {
             ($word:ty) => {
                 self.run_sized::<T, D, $word, Rec>(
@@ -838,55 +846,48 @@ impl<'t> AgentEngine<'t> {
                 )
             };
         }
-        match width {
-            StateWidth::U4 => run_sized!(U4),
-            StateWidth::U8 => run_sized!(u8),
-            StateWidth::U16 => run_sized!(u16),
-            StateWidth::U32 => run_sized!(u32),
-            StateWidth::Auto => unreachable!("resolve_width picks a concrete width"),
+        match self.resolve_width(state_count) {
+            WordLayout::U4 => run_sized!(U4),
+            WordLayout::U8 => run_sized!(u8),
+            WordLayout::U16 => run_sized!(u16),
+            WordLayout::U32 => run_sized!(u32),
         }
     }
 
-    /// The word width a run over `state_count` states uses: the forced
-    /// width, or under [`StateWidth::Auto`] the narrowest that fits.
-    /// Packed 4-bit states share a byte between nodes `2j` and `2j+1`, so
-    /// they need an even chunk size: it keeps every worker's span
+    /// The layout a run over `state_count` states uses: the forced width,
+    /// or under [`StateWidth::Auto`] the narrowest that fits.  Packed
+    /// 4-bit states share a byte between nodes `2j` and `2j+1`, so `Auto`
+    /// packs only with an even chunk size: it keeps every worker's span
     /// byte-aligned, and no byte is ever written by two workers.
     ///
     /// # Panics
-    /// Panics if a forced width cannot hold `state_count` states, or if
-    /// [`StateWidth::U4`] is forced with an odd chunk size.
-    fn resolve_width(&self, state_count: usize) -> StateWidth {
-        let fits = |cap: usize, width: StateWidth| {
+    /// Panics if a forced width cannot hold `state_count` states.
+    fn resolve_width(&self, state_count: usize) -> WordLayout {
+        let fits = |cap: usize| {
             assert!(
                 state_count <= cap,
-                "state count {state_count} does not fit forced StateWidth::{width:?}"
+                "state count {state_count} does not fit forced StateWidth::{:?}",
+                self.width
             );
         };
-        let packable = self.chunk_size.is_multiple_of(2);
         match self.width {
-            StateWidth::Auto if state_count <= U4::CAPACITY && packable => StateWidth::U4,
-            StateWidth::Auto if state_count <= u8::CAPACITY => StateWidth::U8,
-            StateWidth::Auto if state_count <= u16::CAPACITY => StateWidth::U16,
-            StateWidth::Auto => StateWidth::U32,
-            StateWidth::U4 => {
-                fits(U4::CAPACITY, StateWidth::U4);
-                assert!(
-                    packable,
-                    "StateWidth::U4 needs an even chunk size, got {}",
-                    self.chunk_size
-                );
-                StateWidth::U4
+            StateWidth::Auto
+                if state_count <= U4::CAPACITY && self.chunk_size.is_multiple_of(2) =>
+            {
+                WordLayout::U4
             }
+            StateWidth::Auto if state_count <= u8::CAPACITY => WordLayout::U8,
+            StateWidth::Auto if state_count <= u16::CAPACITY => WordLayout::U16,
+            StateWidth::Auto => WordLayout::U32,
             StateWidth::U8 => {
-                fits(u8::CAPACITY, StateWidth::U8);
-                StateWidth::U8
+                fits(u8::CAPACITY);
+                WordLayout::U8
             }
             StateWidth::U16 => {
-                fits(u16::CAPACITY, StateWidth::U16);
-                StateWidth::U16
+                fits(u16::CAPACITY);
+                WordLayout::U16
             }
-            StateWidth::U32 => StateWidth::U32,
+            StateWidth::U32 => WordLayout::U32,
         }
     }
 
@@ -1166,11 +1167,12 @@ mod tests {
     fn deterministic_across_state_widths() {
         // The width pin: packed 4-bit, u8, u16, and u32 state arrays must
         // walk the same trajectory (randomness samples node indices, not
-        // words).  Odd n leaves the last packed byte half used; chunk 512
-        // at 2 and 3 threads puts byte-sharing node pairs on every
-        // worker's span edge.  3-majority takes the batched path,
-        // 3-majority-uar the one-pass path, and undecided (k + 1 states)
-        // also reads each node's own state.
+        // words).  `Auto` packs here (3 or 4 states, even chunk size).
+        // Odd n leaves the last packed byte half used; chunk 512 at 2 and
+        // 3 threads puts byte-sharing node pairs on every worker's span
+        // edge.  3-majority takes the batched path, 3-majority-uar the
+        // one-pass path, and undecided (k + 1 states) also reads each
+        // node's own state.
         let n = 2 * 512 * 3 + 1;
         let clique = Clique::new(n);
         let cfg = builders::biased(n as u64, 3, 500);
@@ -1188,15 +1190,23 @@ mod tests {
                     .with_state_width(width)
                     .run(d, &cfg, Placement::Shuffled, &opts, 21)
             };
+            let states = d.lift(&cfg).k();
+            assert_eq!(
+                AgentEngine::new(&clique)
+                    .with_chunk_size(512)
+                    .resolve_width(states),
+                WordLayout::U4,
+                "{}",
+                d.name()
+            );
             let wide = run(1, StateWidth::U32);
             assert_eq!(wide.reason, StopReason::Stopped, "{}", d.name());
             for threads in [1, 2, 3] {
                 for width in [
-                    StateWidth::U4,
+                    StateWidth::Auto,
                     StateWidth::U8,
                     StateWidth::U16,
                     StateWidth::U32,
-                    StateWidth::Auto,
                 ] {
                     let what = format!("{} at {threads} threads, {width:?}", d.name());
                     let narrow = run(threads, width);
@@ -1242,11 +1252,11 @@ mod tests {
     fn auto_width_packs_only_with_even_chunks() {
         let tiny = Clique::new(2);
         let engine = |chunk: usize| AgentEngine::new(&tiny).with_chunk_size(chunk);
-        assert_eq!(engine(512).resolve_width(16), StateWidth::U4);
-        assert_eq!(engine(512).resolve_width(17), StateWidth::U8);
-        assert_eq!(engine(511).resolve_width(2), StateWidth::U8);
-        assert_eq!(engine(511).resolve_width(257), StateWidth::U16);
-        assert_eq!(engine(511).resolve_width(65_537), StateWidth::U32);
+        assert_eq!(engine(512).resolve_width(16), WordLayout::U4);
+        assert_eq!(engine(512).resolve_width(17), WordLayout::U8);
+        assert_eq!(engine(511).resolve_width(2), WordLayout::U8);
+        assert_eq!(engine(511).resolve_width(257), WordLayout::U16);
+        assert_eq!(engine(511).resolve_width(65_537), WordLayout::U32);
 
         // An odd chunk size falls back to u8 words and walks the same
         // trajectory as forcing them.
@@ -1273,39 +1283,6 @@ mod tests {
                 "{threads} threads"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit forced StateWidth::U4")]
-    fn forced_packed_width_rejects_seventeen_states() {
-        let clique = Clique::new(40);
-        let mut counts = vec![2u64; 17];
-        counts[0] = 8;
-        let _ = AgentEngine::new(&clique)
-            .with_state_width(StateWidth::U4)
-            .run(
-                &ThreeMajority::new(),
-                &Configuration::new(counts),
-                Placement::Shuffled,
-                &RunOptions::with_max_rounds(1),
-                1,
-            );
-    }
-
-    #[test]
-    #[should_panic(expected = "StateWidth::U4 needs an even chunk size, got 511")]
-    fn forced_packed_width_rejects_odd_chunks() {
-        let clique = Clique::new(2_000);
-        let _ = AgentEngine::new(&clique)
-            .with_chunk_size(511)
-            .with_state_width(StateWidth::U4)
-            .run(
-                &ThreeMajority::new(),
-                &builders::biased(2_000, 3, 500),
-                Placement::Shuffled,
-                &RunOptions::with_max_rounds(1),
-                1,
-            );
     }
 
     #[test]

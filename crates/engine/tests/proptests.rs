@@ -108,9 +108,10 @@ proptest! {
         );
     }
 
-    /// Narrow state words are storage only: forcing packed 4-bit or `u8`
-    /// words produces the same trajectory as the widest word, sequential
-    /// or sharded (odd n leaves the last packed byte half used).
+    /// Narrow state words are storage only: `Auto` (packed 4-bit here —
+    /// at most 6 states, even chunk size) and forced `u8` words produce
+    /// the same trajectory as the widest word, sequential or sharded (odd
+    /// n leaves the last packed byte half used).
     #[test]
     fn agent_state_width_invariant(
         n in 64usize..300,
@@ -132,7 +133,7 @@ proptest! {
                 .run(d.as_ref(), &cfg, Placement::Shuffled, &opts, seed)
         };
         let wide = run_width(StateWidth::U32);
-        for width in [StateWidth::U4, StateWidth::U8] {
+        for width in [StateWidth::Auto, StateWidth::U8] {
             let narrow = run_width(width);
             prop_assert_eq!(narrow.rounds, wide.rounds, "{:?}", width);
             prop_assert_eq!(narrow.winner, wide.winner, "{:?}", width);
